@@ -9,12 +9,15 @@
 // determinism contract). Suite name carries "FastPath" so check.sh's tsan
 // pass picks these tests up.
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "eval/scenario.h"
+#include "golden_corpus.h"
 #include "netbase/rng.h"
 #include "obs/metrics.h"
 #include "route/bgp_sim.h"
@@ -88,19 +91,50 @@ std::vector<Probe> build_workload(const topo::Internet& net,
   return work;
 }
 
+// Selectively-announced (pinned) prefixes from random starts, ECMP salts
+// 0-3 per prefix.
+std::vector<Probe> build_pinned_workload(const topo::Internet& net) {
+  std::vector<Probe> work;
+  net::Rng rng(0x9111);
+  const auto& routers = net.routers();
+  for (const auto& ap : net.announced()) {
+    if (ap.only_via_links.empty()) continue;
+    for (std::uint32_t salt = 0; salt < 4; ++salt) {
+      RouterId start =
+          routers[rng.uniform(0,
+                              static_cast<std::uint32_t>(routers.size() - 1))]
+              .id;
+      work.push_back({start, Ipv4Addr(ap.prefix.network().value() + 1), salt});
+    }
+  }
+  return work;
+}
+
+// One hash over every walk's trail, in workload order.
+std::uint64_t walks_digest(const Fib& fib, const std::vector<Probe>& work) {
+  golden::Fnv1a h;
+  h.add(work.size());
+  for (const Probe& probe : work) h.add(walk(fib, probe));
+  return h.value();
+}
+
 // One topology, one BGP simulator, two forwarding planes.
 struct Planes {
   explicit Planes(const topo::GeneratorConfig& config)
       : gen(topo::generate(config)), bgp(gen.net) {
     FibOptions off;
     off.enable_caches = false;
+    FibOptions keyed_egress;
+    keyed_egress.enable_flat_egress = false;
     cached = std::make_unique<Fib>(gen.net, bgp);
     uncached = std::make_unique<Fib>(gen.net, bgp, off);
+    keyed = std::make_unique<Fib>(gen.net, bgp, keyed_egress);
   }
   topo::GeneratedInternet gen;
   BgpSimulator bgp;
   std::unique_ptr<Fib> cached;
   std::unique_ptr<Fib> uncached;
+  std::unique_ptr<Fib> keyed;
 };
 
 void expect_identical_walks(const Planes& p, const std::vector<Probe>& work) {
@@ -135,19 +169,7 @@ TEST(RouteFastPath, PinnedPrefixWalksMatch) {
   // Selective announcement decouples forwarding from plain tier order;
   // the pinned-filter path through the egress cache must stay identical.
   Planes p(eval::small_access_config(7));
-  std::vector<Probe> work;
-  net::Rng rng(0x9111);
-  const auto& routers = p.gen.net.routers();
-  for (const auto& ap : p.gen.net.announced()) {
-    if (ap.only_via_links.empty()) continue;
-    for (std::uint32_t salt = 0; salt < 4; ++salt) {
-      RouterId start =
-          routers[rng.uniform(0,
-                              static_cast<std::uint32_t>(routers.size() - 1))]
-              .id;
-      work.push_back({start, Ipv4Addr(ap.prefix.network().value() + 1), salt});
-    }
-  }
+  std::vector<Probe> work = build_pinned_workload(p.gen.net);
   ASSERT_FALSE(work.empty())
       << "generator produced no selectively-announced prefixes";
   expect_identical_walks(p, work);
@@ -249,6 +271,65 @@ TEST(RouteFastPath, CacheMetricsCountHitsAndMisses) {
   obs::MetricsSnapshot snap = uncached_metrics.snapshot();
   EXPECT_EQ(snap.counter("route.fib.egress_cache_hits"), 0u);
   EXPECT_EQ(snap.counter("route.fib.egress_cache_misses"), 0u);
+}
+
+// -- Golden walk corpus (tests/golden/fib_walks.txt) ------------------------
+//
+// Each line is `workload topology_seed salt digest`: the walks_digest of
+// one workload above ("all" when the workload mixes salts 0-3). Every
+// forwarding plane (flat-row cache, keyed egress map, cache-free
+// recomputation) must reproduce it.
+
+const golden::Corpus& walk_corpus() {
+  static const golden::Corpus c("tests/golden/fib_walks.txt");
+  return c;
+}
+
+void expect_walks_match(const Planes& p, const std::string& k,
+                        const std::vector<Probe>& work) {
+  ASSERT_FALSE(work.empty()) << k;
+  EXPECT_TRUE(walk_corpus().check(k, walks_digest(*p.cached, work)))
+      << "flat-row cache";
+  EXPECT_TRUE(walk_corpus().check(k, walks_digest(*p.keyed, work)))
+      << "keyed egress";
+  EXPECT_TRUE(walk_corpus().check(k, walks_digest(*p.uncached, work)))
+      << "cache-free";
+}
+
+TEST(RouteFastPathGolden, SmallAccessWalksMatchCorpus) {
+  Planes p(eval::small_access_config(7));
+  expect_walks_match(p, golden::key("small_access", 7, "all"),
+                     build_workload(p.gen.net, 0xA11CE));
+}
+
+TEST(RouteFastPathGolden, ResearchEducationWalksMatchCorpus) {
+  Planes p(eval::research_education_config(11));
+  expect_walks_match(p, golden::key("research_education", 11, "all"),
+                     build_workload(p.gen.net, 0xB0B));
+}
+
+TEST(RouteFastPathGolden, PinnedPrefixWalksMatchCorpus) {
+  Planes p(eval::small_access_config(7));
+  const std::vector<Probe> work = build_pinned_workload(p.gen.net);
+  for (std::uint32_t salt = 0; salt < 4; ++salt) {
+    std::vector<Probe> slice;
+    for (const Probe& probe : work) {
+      if (probe.salt == salt) slice.push_back(probe);
+    }
+    expect_walks_match(p, golden::key("pinned", 7, salt), slice);
+  }
+}
+
+TEST(RouteFastPathGolden, CorpusHoldsExactlyTheCoveredCases) {
+  std::set<std::string> expected = {golden::key("small_access", 7, "all"),
+                                    golden::key("research_education", 11,
+                                                "all")};
+  for (std::uint32_t salt = 0; salt < 4; ++salt) {
+    expected.insert(golden::key("pinned", 7, salt));
+  }
+  std::set<std::string> recorded;
+  for (const auto& [k, digest] : walk_corpus().cases()) recorded.insert(k);
+  EXPECT_EQ(recorded, expected);
 }
 
 }  // namespace

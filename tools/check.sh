@@ -75,7 +75,7 @@ run_tsan() {
     runtime_thread_pool_test runtime_multi_vp_test netbase_contract_test \
     route_fastpath_test trace_batch_test obs_metrics_test obs_trace_test \
     eval_fuzzer_test serve_handle_test serve_snapshot_test \
-    serve_incremental_test heuristic_engine_parity_test \
+    serve_incremental_test heuristic_engine_parity_test heuristic_golden_test \
     heuristic_confidence_test
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
     -R 'ThreadPool|TaskGroup|ParallelFor|ParallelMap|MultiVp|Contract|FastPath|TraceBatch|Obs|Fuzzer|Serve|Heuristic'
