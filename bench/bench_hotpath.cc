@@ -1,30 +1,20 @@
-// Forwarding fast-path benchmark: what the route caches actually buy.
+// Forwarding fast-path benchmark: absolute next_hop throughput.
 //
-// Two measurements, written to BENCH_hotpath.json (and stdout):
+// Full FIB walks (resolve-once RouteQuery, memoized egress/tier caches,
+// dense IGP indexing; DESIGN.md §9) over a deterministic mixed workload
+// on the small access network, reported in million next_hop calls per
+// second as the median of --repeat runs after one warmup, with the
+// host's hardware_concurrency. BENCH_hotpath.json and stdout. The walks
+// themselves are pinned by the golden corpus tests/golden/fib_walks.txt;
+// end-to-end pipeline numbers live in perfbench/.
 //
-//  1. next_hop throughput — full FIB walks (resolve-once RouteQuery,
-//     memoized egress/tier caches, dense IGP indexing) vs the same walks
-//     on a cache-disabled Fib over the same topology, which recomputes
-//     the resolution and tier scan on every hop exactly as the
-//     pre-fast-path code did. Reported in million next_hop calls/second.
-//  2. end-to-end multi-VP — the full bdrmap pipeline for every VP of the
-//     small access network on a worker pool, cached vs cache-disabled
-//     scenario built from the same seed.
-//
-// Identity is a hard gate: every hop of every sampled walk and every
-// per-VP border map must be bit-identical between the cached and
-// uncached planes, otherwise the exit code is 1 and the throughput
-// numbers are meaningless. The speedup targets (>=3x next_hop, >=1.5x
-// end-to-end) only warn unless --strict is given, so CI smoke runs on
-// noisy shared hosts do not flake on load spikes.
-//
-// Usage: bench_hotpath [--out FILE] [--repeat N] [--threads N] [--strict]
+// Usage: bench_hotpath [--out FILE] [--repeat N] [--threads N]
 //                      [--obs-json FILE]
 //
-// --obs-json runs ONE extra instrumented multi-VP pass after all the
-// measured sections finish, on its own scenario and pool, and exports its
-// metrics + spans. The measured numbers above are always from obs-off
-// runs; the flag cannot perturb them.
+// --obs-json runs ONE extra instrumented multi-VP pass (--threads pool
+// workers) after the measured section finishes, on its own scenario and
+// pool, and exports its metrics + spans. The measured number is always
+// from an obs-off run; the flag cannot perturb it.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "eval/degradation.h"
 #include "eval/scenario.h"
 #include "netbase/rng.h"
 #include "obs/export.h"
@@ -111,30 +100,15 @@ std::vector<Probe> build_workload(const topo::Internet& net,
   return work;
 }
 
-// One full FIB walk; appends an encoding of every hop to `trail` (for the
-// identity audit) and returns the number of next_hop calls made.
-std::size_t walk(const route::Fib& fib, const Probe& p,
-                 std::vector<std::uint64_t>* trail) {
+// One full FIB walk; returns the number of next_hop calls made.
+std::size_t walk(const route::Fib& fib, const Probe& p) {
   const route::Fib::RouteQuery q = fib.query(p.dst);
   net::RouterId r = p.start;
   std::size_t calls = 0;
   for (std::size_t hop = 0; hop < kMaxWalkHops; ++hop) {
     auto next = fib.next_hop(r, q, p.salt);
     ++calls;
-    if (!next.has_value()) {
-      if (trail) {
-        trail->push_back(fib.delivered_at(r, q) ? 0xD0D0D0D0ull
-                                                : 0xDEADull);
-      }
-      return calls;
-    }
-    if (trail) {
-      trail->push_back((std::uint64_t{next->router.value} << 32) |
-                       next->link.value);
-      trail->push_back((std::uint64_t{next->ingress.value} << 33) |
-                       (std::uint64_t{next->egress.value} << 1) |
-                       (next->crossed_interdomain ? 1 : 0));
-    }
+    if (!next.has_value()) return calls;
     r = next->router;
   }
   return calls;
@@ -147,7 +121,6 @@ int main(int argc, char** argv) {
   std::string obs_json_path;
   int repeat = 5;
   unsigned threads = 8;
-  bool strict = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
@@ -159,81 +132,33 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = static_cast<unsigned>(std::atoi(argv[++i]));
       if (threads < 1) threads = 1;
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      strict = true;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--out FILE] [--repeat N] [--threads N] "
-                   "[--strict] [--obs-json FILE]\n",
+                   "[--obs-json FILE]\n",
                    argv[0]);
       return 2;
     }
   }
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  route::FibOptions no_cache;
-  no_cache.enable_caches = false;
-
-  // Two scenarios from the same seed: identical topologies, one with the
-  // fast path on and one recomputing every hop.
-  eval::Scenario cached(eval::small_access_config(42));
-  eval::Scenario uncached(eval::small_access_config(42), {}, no_cache);
+  eval::Scenario scenario(eval::small_access_config(42));
   std::printf(
       "bench_hotpath: hardware_concurrency=%u, median of %d (1 warmup)\n\n",
       hw, repeat);
 
   // --- 1. next_hop throughput over full walks ---
-  std::vector<Probe> work = build_workload(cached.net(), 0xb0d);
-  std::vector<std::uint64_t> trail_cached, trail_uncached;
+  std::vector<Probe> work = build_workload(scenario.net(), 0xb0d);
   std::size_t calls = 0;
-  for (const Probe& p : work) calls += walk(cached.fib(), p, &trail_cached);
-  for (const Probe& p : work) walk(uncached.fib(), p, &trail_uncached);
-  bool walks_identical = trail_cached == trail_uncached;
-
-  double t_cached = median_of(repeat, [&] {
-    for (const Probe& p : work) walk(cached.fib(), p, nullptr);
+  for (const Probe& p : work) calls += walk(scenario.fib(), p);
+  double seconds = median_of(repeat, [&] {
+    for (const Probe& p : work) walk(scenario.fib(), p);
   });
-  double t_uncached = median_of(repeat, [&] {
-    for (const Probe& p : work) walk(uncached.fib(), p, nullptr);
-  });
-  double mps_cached = static_cast<double>(calls) / t_cached / 1e6;
-  double mps_uncached = static_cast<double>(calls) / t_uncached / 1e6;
-  double hop_speedup = t_uncached / t_cached;
+  double mcalls = static_cast<double>(calls) / seconds / 1e6;
   std::printf("next_hop: %zu walks, %zu calls\n", work.size(), calls);
-  std::printf("  cached   %.3f Mcalls/s (%.4fs)\n", mps_cached, t_cached);
-  std::printf("  uncached %.3f Mcalls/s (%.4fs)\n", mps_uncached, t_uncached);
-  std::printf("  speedup %.2fx, identical: %s\n\n", hop_speedup,
-              walks_identical ? "yes" : "NO");
+  std::printf("  %.3f Mcalls/s (%.4fs)\n\n", mcalls, seconds);
 
-  // --- 2. end-to-end multi-VP pipeline ---
-  std::vector<topo::Vp> vps = cached.vps_in(cached.featured_access());
-  runtime::ThreadPool pool(threads);
-  runtime::MultiVpResult res_cached =
-      cached.run_bdrmap_parallel(vps, {}, 0x515, &pool);
-  runtime::MultiVpResult res_uncached =
-      uncached.run_bdrmap_parallel(vps, {}, 0x515, &pool);
-  bool e2e_identical = res_cached.per_vp.size() == res_uncached.per_vp.size();
-  for (std::size_t i = 0; e2e_identical && i < res_cached.per_vp.size(); ++i) {
-    e2e_identical =
-        eval::same_border_map(res_cached.per_vp[i], res_uncached.per_vp[i]);
-  }
-  double e2e_cached = median_of(repeat, [&] {
-    auto r = cached.run_bdrmap_parallel(vps, {}, 0x515, &pool);
-    (void)r;
-  });
-  double e2e_uncached = median_of(repeat, [&] {
-    auto r = uncached.run_bdrmap_parallel(vps, {}, 0x515, &pool);
-    (void)r;
-  });
-  double e2e_speedup = e2e_uncached / e2e_cached;
-  std::printf("end-to-end (%zu VPs, %u pool workers, hw=%u):\n", vps.size(),
-              pool.size(), hw);
-  std::printf("  cached   %.3fs\n", e2e_cached);
-  std::printf("  uncached %.3fs\n", e2e_uncached);
-  std::printf("  speedup %.2fx, identical: %s\n\n", e2e_speedup,
-              e2e_identical ? "yes" : "NO");
-
-  // --- 3. emit JSON ---
+  // --- 2. emit JSON ---
   std::ofstream out(out_path);
   if (!out) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -248,27 +173,12 @@ int main(int argc, char** argv) {
   out << "  \"next_hop\": {\n";
   out << "    \"walks\": " << work.size() << ",\n";
   out << "    \"calls\": " << calls << ",\n";
-  out << "    \"cached_mcalls_per_sec\": " << json_double(mps_cached) << ",\n";
-  out << "    \"uncached_mcalls_per_sec\": " << json_double(mps_uncached)
-      << ",\n";
-  out << "    \"speedup\": " << json_double(hop_speedup) << ",\n";
-  out << "    \"identical\": " << (walks_identical ? "true" : "false")
-      << "\n  },\n";
-  out << "  \"end_to_end\": {\n";
-  out << "    \"vps\": " << vps.size() << ",\n";
-  out << "    \"threads\": " << threads << ",\n";
-  // Honesty: the worker count the pool actually spawned, which is what
-  // the speedup was measured on (a loaded or small host may differ from
-  // the --threads request).
-  out << "    \"pool_workers\": " << pool.size() << ",\n";
-  out << "    \"cached_seconds\": " << json_double(e2e_cached) << ",\n";
-  out << "    \"uncached_seconds\": " << json_double(e2e_uncached) << ",\n";
-  out << "    \"speedup\": " << json_double(e2e_speedup) << ",\n";
-  out << "    \"identical\": " << (e2e_identical ? "true" : "false")
-      << "\n  }\n}\n";
+  out << "    \"seconds\": " << json_double(seconds) << ",\n";
+  out << "    \"mcalls_per_sec\": " << json_double(mcalls) << "\n";
+  out << "  }\n}\n";
   std::printf("wrote %s\n", out_path.c_str());
 
-  // --- 4. optional instrumented pass (unmeasured) ---
+  // --- 3. optional instrumented pass (unmeasured) ---
   if (!obs_json_path.empty()) {
     obs::ObsOptions obs_options;
     obs_options.enabled = true;
@@ -278,6 +188,8 @@ int main(int argc, char** argv) {
     instrumented_fib.metrics = obs.registry();
     eval::Scenario instrumented(eval::small_access_config(42), {},
                                 instrumented_fib);
+    std::vector<topo::Vp> vps =
+        instrumented.vps_in(instrumented.featured_access());
     runtime::ThreadPool obs_pool(threads, obs.registry());
     core::BdrmapConfig obs_config;
     obs_config.obs = &obs;
@@ -297,18 +209,5 @@ int main(int argc, char** argv) {
     std::printf("wrote observability export to %s\n", obs_json_path.c_str());
   }
 
-  // Identity is non-negotiable; throughput targets gate only under
-  // --strict so shared-host noise cannot fail a smoke run.
-  if (!walks_identical || !e2e_identical) {
-    std::printf("FAIL: cached plane is not bit-identical to the baseline\n");
-    return 1;
-  }
-  bool fast_enough = hop_speedup >= 3.0 && e2e_speedup >= 1.5;
-  if (!fast_enough) {
-    std::printf("%s: speedup below target (next_hop %.2fx < 3.0x or "
-                "e2e %.2fx < 1.5x)\n",
-                strict ? "FAIL" : "WARN", hop_speedup, e2e_speedup);
-    if (strict) return 1;
-  }
   return 0;
 }

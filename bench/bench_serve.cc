@@ -7,7 +7,8 @@
 //     concurrently republishes the handle (the RCU swap path). Reported
 //     both with one handle acquire per lookup (the worst-case "every
 //     query re-reads the handle" discipline) and amortized over 64-query
-//     batches (the realistic request-batch discipline).
+//     batches (the realistic request-batch discipline), each as the
+//     median and interquartile range of --repeat runs.
 //  2. incremental vs full — average wall-clock of one churn epoch through
 //     ServeEngine::apply() (dirty-slice re-collection + re-inference +
 //     snapshot compile + publish) against a from-scratch recompute of the
@@ -16,12 +17,15 @@
 //     must be bit-identical to the from-scratch recompute (per-VP
 //     eval::same_border_map and snapshot fingerprint), else exit 1.
 //
-// The throughput floor (>=1M lookups/s single-threaded under concurrent
-// swap) and the speedup floor (>=1.5x incremental vs full) only warn
-// unless --strict is given, so CI smoke runs survive noisy shared hosts.
+// The JSON records hardware_concurrency and the engine's pool worker
+// count next to the numbers. The throughput floor (>=1M lookups/s median,
+// single-threaded under concurrent swap) and the speedup floor (>=1.5x
+// incremental vs full) only warn unless --strict is given, so CI smoke
+// runs survive noisy shared hosts.
 //
 // Usage: bench_serve [--out FILE] [--repeat N] [--queries M] [--churn K]
 //                    [--threads N] [--scenario NAME] [--strict]
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -57,6 +61,21 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+// Median and interquartile range of a sample (nearest-rank quartiles).
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+Spread spread_of(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  auto at = [&](double q) {
+    return xs[static_cast<std::size_t>(q * static_cast<double>(xs.size() - 1) +
+                                       0.5)];
+  };
+  return {at(0.5), at(0.75) - at(0.25)};
 }
 
 // Deterministic query workload: mostly announced space, some misses.
@@ -145,10 +164,12 @@ int main(int argc, char** argv) {
                             scenario.fib_mutable(), std::move(contexts),
                             options);
   engine.rebuild_full();
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned pool_workers = pool ? pool->size() : 1;
   std::printf("bench_serve: scenario=%s, %zu VPs, %zu target ASes, "
-              "best of %d\n\n",
+              "median of %d, hardware_concurrency=%u, pool_workers=%u\n\n",
               scenario_name.c_str(), vps.size(), engine.targets().size(),
-              repeat);
+              repeat, hw, pool_workers);
 
   // --- 1. lookup throughput under concurrent swap ---
   serve::SnapshotHandle& handle = engine.handle();
@@ -161,7 +182,7 @@ int main(int argc, char** argv) {
       build_queries(scenario.net(), 65536, 42);
 
   std::uint64_t sink = 0;
-  double best_per_lookup = 0.0, best_batched = 0.0;
+  std::vector<double> per_lookup_runs, batched_runs;
   std::uint64_t swaps = 0;
   for (int r = 0; r < repeat; ++r) {
     std::atomic<bool> stop{false};
@@ -195,15 +216,19 @@ int main(int argc, char** argv) {
     stop.store(true, std::memory_order_release);
     swapper.join();
     swaps += local_swaps;
-    if (per_lookup > best_per_lookup) best_per_lookup = per_lookup;
-    if (batched > best_batched) best_batched = batched;
+    per_lookup_runs.push_back(per_lookup);
+    batched_runs.push_back(batched);
   }
   handle.publish(base);  // leave the engine's own snapshot live
+  const Spread per_lookup = spread_of(per_lookup_runs);
+  const Spread batched = spread_of(batched_runs);
   std::printf("lookup (concurrent swap, %zu queries x%d, %llu swaps):\n",
               queries, repeat, static_cast<unsigned long long>(swaps));
-  std::printf("  acquire-per-lookup %.2fM lookups/s\n", best_per_lookup / 1e6);
-  std::printf("  64-query batches   %.2fM lookups/s (sink %llx)\n\n",
-              best_batched / 1e6, static_cast<unsigned long long>(sink));
+  std::printf("  acquire-per-lookup %.2fM lookups/s (IQR %.2fM)\n",
+              per_lookup.median / 1e6, per_lookup.iqr / 1e6);
+  std::printf("  64-query batches   %.2fM lookups/s (IQR %.2fM, sink %llx)\n\n",
+              batched.median / 1e6, batched.iqr / 1e6,
+              static_cast<unsigned long long>(sink));
 
   // --- 2. incremental vs full epochs ---
   serve::ChurnStream stream(scenario.net(), 42);
@@ -244,7 +269,7 @@ int main(int argc, char** argv) {
 
   std::ofstream json(out_path);
   if (json.is_open()) {
-    char buf[1024];
+    char buf[2048];
     std::snprintf(
         buf, sizeof(buf),
         "{\n"
@@ -253,11 +278,16 @@ int main(int argc, char** argv) {
         "  \"seed\": 42,\n"
         "  \"vps\": %zu,\n"
         "  \"repeat\": %d,\n"
+        "  \"statistic\": \"median\",\n"
+        "  \"hardware_concurrency\": %u,\n"
+        "  \"pool_workers\": %u,\n"
         "  \"lookup\": {\n"
         "    \"queries\": %zu,\n"
         "    \"concurrent_swaps\": %llu,\n"
         "    \"per_lookup_acquire_per_sec\": %.0f,\n"
-        "    \"batched64_per_sec\": %.0f\n"
+        "    \"per_lookup_acquire_per_sec_iqr\": %.0f,\n"
+        "    \"batched64_per_sec\": %.0f,\n"
+        "    \"batched64_per_sec_iqr\": %.0f\n"
         "  },\n"
         "  \"incremental\": {\n"
         "    \"churn_epochs\": %zu,\n"
@@ -269,10 +299,10 @@ int main(int argc, char** argv) {
         "  },\n"
         "  \"identical\": %s\n"
         "}\n",
-        scenario_name.c_str(), vps.size(), repeat, queries,
-        static_cast<unsigned long long>(swaps), best_per_lookup,
-        best_batched, churn, dirty_total, clean_total, incr_avg, full_avg,
-        speedup, identical ? "true" : "false");
+        scenario_name.c_str(), vps.size(), repeat, hw, pool_workers, queries,
+        static_cast<unsigned long long>(swaps), per_lookup.median,
+        per_lookup.iqr, batched.median, batched.iqr, churn, dirty_total,
+        clean_total, incr_avg, full_avg, speedup, identical ? "true" : "false");
     json << buf;
     std::printf("wrote %s\n", out_path.c_str());
   } else {
@@ -285,10 +315,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   bool floors_ok = true;
-  if (best_per_lookup < 1e6) {
+  if (per_lookup.median < 1e6) {
     std::fprintf(stderr,
                  "%s: lookup throughput %.2fM/s below the 1M/s floor\n",
-                 strict ? "FAIL" : "warning", best_per_lookup / 1e6);
+                 strict ? "FAIL" : "warning", per_lookup.median / 1e6);
     floors_ok = false;
   }
   if (speedup < 1.5) {

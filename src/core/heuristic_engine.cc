@@ -50,15 +50,11 @@ double prior(Heuristic how) {
 
 const char* HeuristicRule::skip_reason(const Heuristics& h) const {
   const HeuristicsConfig& config = h.config();
-  const std::string_view slug(slug_);
-  bool enabled = true;
-  if (slug == "relationships") enabled = config.enable_relationships;
-  if (slug == "analytic_alias") enabled = config.enable_analytic_alias;
-  auto it = config.rule_overrides.find(std::string(slug));
-  if (it != config.rule_overrides.end() && it->second.enabled.has_value()) {
-    enabled = *it->second.enabled;
+  auto it = config.rule_overrides.find(slug_);
+  if (it != config.rule_overrides.end() &&
+      !it->second.enabled.value_or(true)) {
+    return "disabled by config";
   }
-  if (!enabled) return "disabled by config";
   if (needs_relationships_ && !h.inputs().rels) return "missing inputs.rels";
   return nullptr;
 }

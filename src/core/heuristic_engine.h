@@ -11,12 +11,10 @@
 // in [0,1] (PARI-style propagation: relationship-derived evidence carries
 // a prior from asdata::RelationshipStore).
 //
-// Bit-identity contract: both engines (legacy ladder and registry) call
-// the SAME phase bodies in core/heuristics.cc, so with the default rule
-// order and no overrides the border map — including confidences — is
-// bit-identical between them (tests/heuristic_engine_parity_test.cc).
-// Confidence never feeds placement decisions and is excluded from
-// eval::same_border_map.
+// The border maps it produces — confidences included — are pinned by the
+// committed golden corpus tests/golden/border_maps.txt
+// (tests/heuristic_golden_test.cc). Confidence never feeds placement
+// decisions and is excluded from eval::same_border_map.
 #pragma once
 
 #include <cstddef>
@@ -122,9 +120,8 @@ class HeuristicRule {
   const char* paper_step() const { return paper_step_; }
 
   // nullptr when the rule can run; otherwise a stable human-readable skip
-  // reason (a disabling config knob or a missing InferenceInputs dataset).
-  // Overrides in HeuristicsConfig::rule_overrides take precedence over the
-  // legacy enable_* booleans; a missing precondition always skips.
+  // reason: HeuristicsConfig::rule_overrides disabled it, or an
+  // InferenceInputs dataset it needs is missing.
   const char* skip_reason(const Heuristics& h) const;
 
   void fire(Heuristics& h,
@@ -140,7 +137,7 @@ class HeuristicRule {
 };
 
 // Runs the rule registry over one Heuristics instance. Constructed and
-// driven by Heuristics::run() when HeuristicsConfig::engine == kRegistry.
+// driven by Heuristics::run().
 class HeuristicEngine {
  public:
   explicit HeuristicEngine(Heuristics& h) : h_(h) {}

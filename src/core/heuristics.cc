@@ -29,7 +29,6 @@ AsId Heuristics::org_rep(AsId as) const {
 }
 
 AddrInfo Heuristics::classify(Ipv4Addr addr) const {
-  if (!config_.enable_compiled_scans) return classify_uncached(addr);
   auto it = classify_cache_.find(addr);
   if (it != classify_cache_.end()) return it->second;
   AddrInfo info = classify_uncached(addr);
@@ -152,39 +151,17 @@ std::vector<AsId> Heuristics::external_origins(const GraphRouter& r) const {
 }
 
 std::vector<AsId> Heuristics::first_external_after(std::size_t router) const {
-  if (config_.enable_compiled_scans) {
-    if (!first_external_built_) build_first_external_table();
-    return first_external_table_[router];
-  }
-  std::vector<AsId> out;
-  for (const auto& trace : graph_.traces()) {
-    bool seen = false;
-    for (const auto& hop : trace.hops) {
-      if (hop.kind != probe::ReplyKind::kTimeExceeded) continue;
-      auto r = graph_.router_of(hop.addr);
-      if (!r) continue;
-      if (!seen) {
-        if (*r == router) seen = true;
-        continue;
-      }
-      if (*r == router) continue;
-      AddrInfo info = classify(hop.addr);
-      if (info.cls == AddrClass::kExternal) {
-        out.push_back(info.origin);
-        break;  // first routed external interface after the router
-      }
-    }
-  }
-  return out;
+  if (!first_external_built_) build_first_external_table();
+  return first_external_table_[router];
 }
 
 void Heuristics::build_first_external_table() const {
   // Computes first_external_after for every router in one sweep instead of
-  // rescanning all traces per candidate. Walking a trace, each router that
-  // has appeared is "pending" until the first later routed-external hop on
-  // a *different* router supplies its origin; a router's own first hop is
-  // consumed before it joins the pending set, so hops strictly after the
-  // first occurrence are considered — exactly the per-router scan above.
+  // rescanning all traces per candidate: per trace, the origin of the first
+  // routed-external hop on a *different* router strictly after the
+  // router's first occurrence. Walking a trace, each router that has
+  // appeared is "pending" until such a hop supplies its origin; a router's
+  // own first hop is consumed before it joins the pending set.
   const std::size_t count = graph_.routers().size();
   first_external_table_.assign(count, {});
   std::vector<std::uint32_t> seen_epoch(count, 0);
@@ -597,62 +574,60 @@ void Heuristics::phase4_onenet() {
 // ---------------------------------------------------------------------------
 
 void Heuristics::phase5_relationships() {
-  if (!config_.enable_relationships || !in_.rels) return;
+  if (!in_.rels) return;
 
   // Third-party detection (steps 5.1 / 5.2).
-  if (config_.enable_third_party) {
-    for (std::size_t r : graph_.by_hop_distance()) {
-      GraphRouter& router = graph_.routers()[r];
-      if (router.how != Heuristic::kNone) continue;
-      auto externals = external_origins(router);
-      if (externals.size() != 1) continue;
-      AsId a = externals.front();
-      // Timestamp-confirmed inbound interfaces are genuinely on the
-      // forward path; the reply source is not a third-party address, so
-      // the IP-AS mapping stands ([26]).
-      if (config_.confirmed_inbound) {
-        bool all_confirmed = !router.ttl_addrs.empty();
-        for (Ipv4Addr addr : router.ttl_addrs) {
-          all_confirmed &= config_.confirmed_inbound->count(addr) > 0;
-        }
-        if (all_confirmed) continue;
+  for (std::size_t r : graph_.by_hop_distance()) {
+    GraphRouter& router = graph_.routers()[r];
+    if (router.how != Heuristic::kNone) continue;
+    auto externals = external_origins(router);
+    if (externals.size() != 1) continue;
+    AsId a = externals.front();
+    // Timestamp-confirmed inbound interfaces are genuinely on the
+    // forward path; the reply source is not a third-party address, so
+    // the IP-AS mapping stands ([26]).
+    if (config_.confirmed_inbound) {
+      bool all_confirmed = !router.ttl_addrs.empty();
+      for (Ipv4Addr addr : router.ttl_addrs) {
+        all_confirmed &= config_.confirmed_inbound->count(addr) > 0;
       }
-      // Only observed on paths toward a single organization B != A?
-      std::vector<AsId> dest_orgs;
-      AsId b;
-      for (AsId dest : router.dest_ases) {
-        AsId rep = org_rep(dest);
-        if (std::find(dest_orgs.begin(), dest_orgs.end(), rep) ==
-            dest_orgs.end()) {
-          dest_orgs.push_back(rep);
-          b = dest;
-        }
+      if (all_confirmed) continue;
+    }
+    // Only observed on paths toward a single organization B != A?
+    std::vector<AsId> dest_orgs;
+    AsId b;
+    for (AsId dest : router.dest_ases) {
+      AsId rep = org_rep(dest);
+      if (std::find(dest_orgs.begin(), dest_orgs.end(), rep) ==
+          dest_orgs.end()) {
+        dest_orgs.push_back(rep);
+        b = dest;
       }
-      if (dest_orgs.size() != 1 || org_rep(a) == dest_orgs.front()) continue;
-      // A must be a provider of B: the router replied with the address of
-      // the interface toward its provider (its route to the VP).
-      if (in_.rels->rel(b, a) != asdata::Relationship::kProvider) continue;
-      // The inference leans on the inferred B-customer-of-A edge; its
-      // consistency in the store prices the whole conclusion.
-      double edge = conf::relationship_prior(*in_.rels, b, a);
-      assign(r, b, Heuristic::kThirdParty, false,
-             conf::both(conf::prior(Heuristic::kThirdParty), edge));
-      // Step 5.1: a preceding all-VP router is B's border too — but only
-      // when that router likewise appears exclusively on paths toward B;
-      // a router carrying traffic to other networks is not B's border.
-      for (std::size_t p : router.prev) {
-        GraphRouter& pr = graph_.routers()[p];
-        if (pr.how != Heuristic::kNone || !all_vp(pr)) continue;
-        bool only_b = true;
-        for (AsId dest : pr.dest_ases) {
-          only_b &= org_rep(dest) == org_rep(b);
-        }
-        if (only_b) {
-          assign(p, b, Heuristic::kThirdParty, false,
-                 conf::both(conf::kIndirectEvidence,
-                            conf::both(conf::prior(Heuristic::kThirdParty),
-                                       edge)));
-        }
+    }
+    if (dest_orgs.size() != 1 || org_rep(a) == dest_orgs.front()) continue;
+    // A must be a provider of B: the router replied with the address of
+    // the interface toward its provider (its route to the VP).
+    if (in_.rels->rel(b, a) != asdata::Relationship::kProvider) continue;
+    // The inference leans on the inferred B-customer-of-A edge; its
+    // consistency in the store prices the whole conclusion.
+    double edge = conf::relationship_prior(*in_.rels, b, a);
+    assign(r, b, Heuristic::kThirdParty, false,
+           conf::both(conf::prior(Heuristic::kThirdParty), edge));
+    // Step 5.1: a preceding all-VP router is B's border too — but only
+    // when that router likewise appears exclusively on paths toward B;
+    // a router carrying traffic to other networks is not B's border.
+    for (std::size_t p : router.prev) {
+      GraphRouter& pr = graph_.routers()[p];
+      if (pr.how != Heuristic::kNone || !all_vp(pr)) continue;
+      bool only_b = true;
+      for (AsId dest : pr.dest_ases) {
+        only_b &= org_rep(dest) == org_rep(b);
+      }
+      if (only_b) {
+        assign(p, b, Heuristic::kThirdParty, false,
+               conf::both(conf::kIndirectEvidence,
+                          conf::both(conf::prior(Heuristic::kThirdParty),
+                                     edge)));
       }
     }
   }
@@ -798,7 +773,6 @@ void Heuristics::phase6_counting() {
 // ---------------------------------------------------------------------------
 
 void Heuristics::phase7_analytic_alias() {
-  if (!config_.enable_analytic_alias) return;
   // A neighbor router connected by a point-to-point link attaches to one
   // VP router; several single-interface VP-side predecessors of the same
   // neighbor router are therefore aliases of one border router.
@@ -860,16 +834,13 @@ std::vector<UncooperativeNeighbor> Heuristics::phase8_uncooperative() {
       std::unique(bgp_neighbors.begin(), bgp_neighbors.end()),
       bgp_neighbors.end());
 
-  // Compiled-scan index: trace indices grouped by target organization, so
-  // each neighbor only visits its own traces instead of rescanning all of
-  // them. Trace order within a group is preserved, and the per-trace work
-  // below is order-independent anyway — results are identical.
+  // Compiled-scan index (DESIGN.md §14): trace indices grouped by target
+  // organization, so each neighbor only visits its own traces instead of
+  // rescanning all of them. Trace order within a group is preserved.
   std::unordered_map<AsId, std::vector<std::size_t>> traces_by_org;
-  if (config_.enable_compiled_scans) {
-    const auto& traces = graph_.traces();
-    for (std::size_t ti = 0; ti < traces.size(); ++ti) {
-      traces_by_org[org_rep(traces[ti].target_as)].push_back(ti);
-    }
+  const auto& traces = graph_.traces();
+  for (std::size_t ti = 0; ti < traces.size(); ++ti) {
+    traces_by_org[org_rep(traces[ti].target_as)].push_back(ti);
   }
 
   for (AsId neighbor : bgp_neighbors) {
@@ -881,7 +852,10 @@ std::vector<UncooperativeNeighbor> Heuristics::phase8_uncooperative() {
     std::map<std::size_t, std::size_t> last_counts;
     bool beyond = false;
     bool icmp_from_neighbor = false;
-    auto scan_trace = [&](const ObservedTrace& trace) {
+    auto it = traces_by_org.find(org_rep(neighbor));
+    if (it == traces_by_org.end()) continue;
+    for (std::size_t ti : it->second) {
+      const ObservedTrace& trace = traces[ti];
       // Last VP-side router, and anything after it?
       std::size_t last_vp = std::numeric_limits<std::size_t>::max();
       for (const auto& hop : trace.hops) {
@@ -907,17 +881,6 @@ std::vector<UncooperativeNeighbor> Heuristics::phase8_uncooperative() {
       if (last_vp != std::numeric_limits<std::size_t>::max()) {
         ++last_counts[last_vp];
       }
-    };
-    if (config_.enable_compiled_scans) {
-      auto it = traces_by_org.find(org_rep(neighbor));
-      if (it != traces_by_org.end()) {
-        for (std::size_t ti : it->second) scan_trace(graph_.traces()[ti]);
-      }
-    } else {
-      for (const auto& trace : graph_.traces()) {
-        if (org_rep(trace.target_as) != org_rep(neighbor)) continue;
-        scan_trace(trace);
-      }
     }
     if (beyond || last_counts.empty()) continue;
     std::size_t total = 0, best_count = 0;
@@ -942,35 +905,7 @@ std::vector<UncooperativeNeighbor> Heuristics::phase8_uncooperative() {
 }
 
 std::vector<UncooperativeNeighbor> Heuristics::run() {
-  if (config_.engine == HeuristicEngineKind::kRegistry) {
-    return HeuristicEngine(*this).run();
-  }
-  return run_legacy();
-}
-
-std::vector<UncooperativeNeighbor> Heuristics::run_legacy() {
-  // The hard-coded paper ladder. current_rule_ indices match the registry's
-  // registration order (phases 1..8), so fires land in the same
-  // rule_stats_ slots as the registry engine; skips and rule_overrides are
-  // registry-engine concepts and never apply here.
-  current_rule_ = 0;
-  phase1_vp_network();
-  current_rule_ = 1;
-  phase2_firewall();
-  current_rule_ = 2;
-  phase3_unrouted();
-  current_rule_ = 3;
-  phase4_onenet();
-  current_rule_ = 4;
-  phase5_relationships();
-  current_rule_ = 5;
-  phase6_counting();
-  current_rule_ = 6;
-  phase7_analytic_alias();
-  current_rule_ = 7;
-  std::vector<UncooperativeNeighbor> out = phase8_uncooperative();
-  current_rule_ = kNoRule;
-  return out;
+  return HeuristicEngine(*this).run();
 }
 
 }  // namespace bdrmap::core

@@ -7,9 +7,8 @@
 // aliases on the near side; step 8 places neighbors whose routers never
 // send time-exceeded messages.
 //
-// Two dispatchers run the same phase bodies (DESIGN.md §15): the legacy
-// hard-coded ladder, and the registry-driven HeuristicEngine
-// (core/heuristic_engine.h). With default config they are bit-identical.
+// The phases run through the registry-driven HeuristicEngine
+// (core/heuristic_engine.h, DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -44,20 +43,9 @@ struct InferenceInputs {
   std::vector<AsId> vp_ases;  // VP AS first, then its siblings
 };
 
-// Which dispatcher Heuristics::run() uses. Both execute the same phase
-// bodies; the registry engine additionally honors rule_order /
-// rule_overrides and counts skips per rule.
-enum class HeuristicEngineKind : std::uint8_t {
-  kLegacy,    // hard-coded §5.4.1→§5.4.8 ladder
-  kRegistry,  // HeuristicEngine over HeuristicEngine::registry()
-};
-
-// Per-rule config override, keyed by registry slug. Registry engine only —
-// the legacy ladder ignores overrides (it predates them and exists as the
-// parity baseline).
+// Per-rule config override, keyed by registry slug.
 struct HeuristicRuleOverride {
-  // Overrides the rule's enable decision (wins over the legacy enable_*
-  // booleans when set).
+  // false disables the rule (ablation); unset or true runs it.
   std::optional<bool> enabled;
   // Scales every confidence the rule emits (clamped to [0,1]).
   std::optional<double> confidence_scale;
@@ -71,28 +59,16 @@ struct HeuristicRuleStats {
 };
 
 struct HeuristicsConfig {
-  bool enable_third_party = true;    // ablation: §5.4.5 steps 5.1/5.2
-  bool enable_relationships = true;  // ablation: §5.4.5 entirely
-  bool enable_analytic_alias = true; // ablation: §5.4.7
-  // Data-oriented scan compilation (DESIGN.md §14): memoized address
-  // classification, a single-pass first-external table shared by §5.4.3
-  // and §5.4.5, and a per-organization trace index for §5.4.8. Pure
-  // caching of deterministic lookups — inferences are bit-identical
-  // either way; `false` restores the per-call scans and exists so
-  // benchmarks can measure the pre-§14 baseline.
-  bool enable_compiled_scans = true;
   // Addresses confirmed as inbound interfaces by timestamp probing [26]:
   // routers whose external addresses are all confirmed are exempt from
   // third-party reclassification. Not owned; may be null.
   const std::unordered_set<Ipv4Addr>* confirmed_inbound = nullptr;
-  // DESIGN.md §15: dispatcher selection plus registry-only knobs.
-  HeuristicEngineKind engine = HeuristicEngineKind::kRegistry;
   // Slugs to run first, in the given order; unknown slugs are ignored and
   // every unnamed rule follows in registration order (the deterministic
   // tie-break). Empty means pure paper order.
   std::vector<std::string> rule_order;
-  // Per-slug overrides (registry engine only; std::map keeps iteration —
-  // and therefore any diagnostics — deterministic).
+  // Per-slug overrides (std::map keeps iteration — and therefore any
+  // diagnostics — deterministic).
   std::map<std::string, HeuristicRuleOverride> rule_overrides;
 };
 
@@ -125,8 +101,8 @@ class Heuristics {
   Heuristics(RouterGraph& graph, const InferenceInputs& in,
              HeuristicsConfig config = {});
 
-  // Runs all phases, mutating the graph's ownership annotations, and
-  // returns the §5.4.8 placements. Dispatches on config().engine.
+  // Runs all phases through HeuristicEngine, mutating the graph's
+  // ownership annotations, and returns the §5.4.8 placements.
   std::vector<UncooperativeNeighbor> run();
 
   // Classification of an observed address (valid after construction).
@@ -140,8 +116,7 @@ class Heuristics {
   const InferenceInputs& inputs() const { return in_; }
 
   // Fire/skip counters per registry rule (registration order), valid after
-  // run(). The legacy ladder fills fires too (same phase bodies); skips are
-  // only counted by the registry engine.
+  // run().
   const std::vector<HeuristicRuleStats>& rule_stats() const {
     return rule_stats_;
   }
@@ -156,12 +131,12 @@ class Heuristics {
   // Representative AS for sibling-collapsing comparisons.
   AsId org_rep(AsId as) const;
   // The longest-match/IXP/RIR lookup behind classify(); classify() itself
-  // memoizes this when enable_compiled_scans is set (the inputs are fixed
-  // after construction, so the mapping never changes).
+  // memoizes it (the inputs are fixed after construction, so the mapping
+  // never changes).
   AddrInfo classify_uncached(Ipv4Addr addr) const;
   // One pass over all traces filling first_external_table_ for every
-  // router at once (valid until the first merge; built lazily, and only
-  // consulted by the pre-merge phases 3 and 5).
+  // router at once (DESIGN.md §14; valid until the first merge; built
+  // lazily, and only consulted by the pre-merge phases 3 and 5).
   void build_first_external_table() const;
   bool all_vp(const GraphRouter& r) const;
   // Distinct external origins over the router's time-exceeded addresses.
@@ -191,9 +166,6 @@ class Heuristics {
   void phase7_analytic_alias();      // §5.4.7
   std::vector<UncooperativeNeighbor> phase8_uncooperative();  // §5.4.8
 
-  // The hard-coded ladder (HeuristicEngineKind::kLegacy).
-  std::vector<UncooperativeNeighbor> run_legacy();
-
   void assign(std::size_t router, AsId owner, Heuristic how, bool vp_side,
               double confidence);
   // Credits the currently-firing rule's fire counter (no-op between rules).
@@ -205,8 +177,8 @@ class Heuristics {
   AsId vp_as_;  // primary VP AS
   // Unrouted blocks attributed to the VP network via RIR delegations.
   std::vector<net::Prefix> vp_extra_blocks_;
-  // enable_compiled_scans caches (DESIGN.md §14). Mutable: they memoize
-  // const lookups without changing observable results.
+  // Compiled-scan caches (DESIGN.md §14). Mutable: they memoize const
+  // lookups without changing observable results.
   mutable std::unordered_map<Ipv4Addr, AddrInfo> classify_cache_;
   mutable std::vector<std::vector<AsId>> first_external_table_;
   mutable bool first_external_built_ = false;

@@ -46,9 +46,7 @@ struct ScenarioSpec {
 
 class Scenario {
  public:
-  // fib_options lets benchmarks and the golden bit-identity suite build a
-  // scenario whose forwarding plane recomputes every hop
-  // (enable_caches = false) as the fast-path baseline.
+  // fib_options carries the forwarding plane's metrics registry.
   explicit Scenario(const topo::GeneratorConfig& config,
                     const route::CollectorConfig& collector_config = {},
                     const route::FibOptions& fib_options = {});

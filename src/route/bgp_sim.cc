@@ -217,11 +217,6 @@ RouteInfo BgpSimulator::route(AsId src, AsId dst) const {
   return {};
 }
 
-std::vector<std::vector<AsId>> BgpSimulator::candidate_tiers(AsId src,
-                                                             AsId dst) const {
-  return compute_tiers(src, dst).tiers;
-}
-
 const BgpSimulator::TierSet& BgpSimulator::tiers(AsId src, AsId dst) const {
   if (!as_index_.count(src) || !as_index_.count(dst)) return kNoTiers;
   const std::uint64_t key =

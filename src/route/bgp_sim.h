@@ -76,13 +76,9 @@ class BgpSimulator {
   // preference order. Routers fall back to a later tier only when
   // per-prefix announcement filtering empties an earlier one.
   //
-  // Computes fresh on every call (the pre-fast-path behaviour, kept as
-  // the cache-disabled baseline); hot paths use tiers() below.
-  std::vector<std::vector<AsId>> candidate_tiers(AsId src, AsId dst) const;
-
-  // Memoized candidate tiers for one (src, dst) AS pair. Each tier is
-  // sorted ascending (membership checks can binary-search). The returned
-  // reference is stable for the simulator's lifetime; fills are pure
+  // Memoized per (src, dst) AS pair. Each tier is sorted ascending
+  // (membership checks can binary-search). The returned reference is
+  // stable for the simulator's lifetime; fills are pure
   // functions of the immutable relationship graph, so first-writer-wins
   // insertion under tiers_mu_ is value-deterministic at any thread count.
   struct TierSet {

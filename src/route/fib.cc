@@ -219,10 +219,7 @@ Fib::RouteQuery::Resolved Fib::resolve(Ipv4Addr dst) const {
 Fib::RouteQuery Fib::query(Ipv4Addr dst) const {
   RouteQuery q;
   q.dst_ = dst;
-  if (options_.enable_caches) {
-    q.res_ = resolve(dst);
-    q.pre_resolved_ = true;
-  }
+  q.res_ = resolve(dst);
   return q;
 }
 
@@ -352,46 +349,11 @@ std::optional<Fib::Hop> Fib::internal_step(RouterId r, RouterId target,
 }
 // BDRMAP_HOT_END(fib_internal_step)
 
-const Session* Fib::choose_egress_uncached(
-    RouterId r, AsId as, AsId dst_as, Ipv4Addr dst,
-    const std::vector<LinkId>* pinned) const {
-  const auto& sessions = sessions_of(as);
-  if (sessions.empty()) return nullptr;
-  auto tiers = bgp_.candidate_tiers(as, dst_as);
-  for (const auto& tier : tiers) {
-    const Session* best = nullptr;
-    double best_dist = kInfDist;
-    std::uint64_t best_rank = 0;
-    for (const Session& s : sessions) {
-      // Tiers come out of candidate_tiers sorted ascending.
-      if (!std::binary_search(tier.begin(), tier.end(), s.far_as)) {
-        continue;
-      }
-      // Selective-announcement filter at sessions adjacent to the origin.
-      if (pinned && s.far_as == dst_as &&
-          std::find(pinned->begin(), pinned->end(), s.link) == pinned->end()) {
-        continue;
-      }
-      if (link_is_down(s.link)) continue;  // churn overlay
-      double d = igp_distance(r, s.near_router);
-      if (d == kInfDist) continue;
-      std::uint64_t rank = flow_rank(dst, s.link);
-      if (!best || d < best_dist || (d == best_dist && rank < best_rank)) {
-        best = &s;
-        best_dist = d;
-        best_rank = rank;
-      }
-    }
-    if (best) return best;
-  }
-  return nullptr;
-}
-
 Fib::EgressEntry Fib::compute_egress_entry(
     RouterId r, AsId dst_as, const std::vector<LinkId>* pinned) const {
   // Fill: first satisfiable tier, sessions tied at minimal IGP distance
-  // from r, in session order — the same winners the uncached scan finds,
-  // minus the per-destination rank that next_hop applies at lookup time.
+  // from r, in session order; next_hop applies the per-destination rank
+  // among them at lookup time.
   EgressEntry entry;
   const AsId as = owner_of(r);
   const std::uint32_t as_dense = as_dense_.at(as);
@@ -534,27 +496,22 @@ std::optional<Fib::Hop> Fib::next_hop_resolved(
 
   // Interdomain: pick an egress session by preference tier + hot potato.
   const Session* egress = nullptr;
-  if (options_.enable_caches) {
-    const EgressEntry* e =
-        (options_.enable_flat_egress && !res.pinned &&
-         res.dst_as_dense != kNoIndex)
-            ? egress_entry_flat(r, res.dst_as_dense, res.dst_as)
-            : &egress_entry(r, res.dst_as, res.pinned);
-    if (!e->tied.empty()) {
-      egress = e->tied.front();
-      if (e->tied.size() > 1) {
-        std::uint64_t best_rank = flow_rank(dst, egress->link);
-        for (std::size_t i = 1; i < e->tied.size(); ++i) {
-          std::uint64_t rank = flow_rank(dst, e->tied[i]->link);
-          if (rank < best_rank) {
-            egress = e->tied[i];
-            best_rank = rank;
-          }
+  const EgressEntry* e =
+      (!res.pinned && res.dst_as_dense != kNoIndex)
+          ? egress_entry_flat(r, res.dst_as_dense, res.dst_as)
+          : &egress_entry(r, res.dst_as, res.pinned);
+  if (!e->tied.empty()) {
+    egress = e->tied.front();
+    if (e->tied.size() > 1) {
+      std::uint64_t best_rank = flow_rank(dst, egress->link);
+      for (std::size_t i = 1; i < e->tied.size(); ++i) {
+        std::uint64_t rank = flow_rank(dst, e->tied[i]->link);
+        if (rank < best_rank) {
+          egress = e->tied[i];
+          best_rank = rank;
         }
       }
     }
-  } else {
-    egress = choose_egress_uncached(r, x, res.dst_as, dst, res.pinned);
   }
   if (!egress) return std::nullopt;
   BDRMAP_ASSERT(egress->near_as == x,
@@ -568,10 +525,7 @@ std::optional<Fib::Hop> Fib::next_hop_resolved(
 
 std::optional<Fib::Hop> Fib::next_hop(RouterId r, const RouteQuery& q,
                                       std::uint32_t flow_salt) const {
-  if (q.pre_resolved_) {
-    return next_hop_resolved(r, q.res_, q.dst_, flow_salt);
-  }
-  return next_hop_resolved(r, resolve(q.dst_), q.dst_, flow_salt);
+  return next_hop_resolved(r, q.res_, q.dst_, flow_salt);
 }
 
 std::optional<Fib::Hop> Fib::next_hop(RouterId r, Ipv4Addr dst,
@@ -580,7 +534,6 @@ std::optional<Fib::Hop> Fib::next_hop(RouterId r, Ipv4Addr dst,
 }
 
 bool Fib::delivered_at(RouterId r, const RouteQuery& q) const {
-  if (!q.pre_resolved_) return delivered_at(r, q.dst_);
   const RouteQuery::Resolved& res = q.res_;
   if (!res.ok) return false;
   if (res.is_iface_addr) return r == res.final_router;
@@ -597,11 +550,7 @@ bool Fib::delivered_at(RouterId r, Ipv4Addr dst) const {
 }
 
 bool Fib::addr_owned_by(RouterId r, const RouteQuery& q) const {
-  if (q.pre_resolved_) {
-    return q.res_.is_iface_addr && q.res_.final_router == r;
-  }
-  auto iface = net_.iface_at(q.dst_);
-  return iface && net_.iface(*iface).router == r;
+  return q.res_.is_iface_addr && q.res_.final_router == r;
 }
 
 std::optional<IfaceId> Fib::egress_iface(RouterId r,

@@ -13,7 +13,7 @@
 //
 // Fast path (DESIGN.md §9): next_hop is the system's inner loop — every
 // hop of every simulated probe goes through it. Three mechanisms keep it
-// cheap while staying bit-identical to the naive per-hop recomputation:
+// cheap:
 //  * RouteQuery — the destination is resolved (interface lookup, announced
 //    prefix match, delivery target) once per trace, not once per hop;
 //  * memoized decision caches — per-(router, dst_as, pinned) egress
@@ -23,9 +23,8 @@
 //    independent of thread interleaving — the MultiVpExecutor contract);
 //  * dense indexing — routers and ASes are addressed by flat arrays
 //    instead of hash probes on the IGP path.
-// FibOptions::enable_caches turns all of it off, restoring the per-hop
-// recomputation as the measured baseline for bench_hotpath and the golden
-// bit-identity suite (tests/route_fastpath_test.cc).
+// The walks it produces are pinned by the committed golden corpus
+// tests/golden/fib_walks.txt (tests/route_fastpath_test.cc).
 #pragma once
 
 #include <atomic>
@@ -64,18 +63,7 @@ struct Session {
   bool via_ixp = false;
 };
 
-// Fast-path tuning. enable_caches is the master switch for the memoized
-// decision caches and the resolve-once RouteQuery path; disabling it
-// restores hop-by-hop recomputation (the pre-fast-path behaviour) for
-// baseline measurement and bit-identity auditing.
 struct FibOptions {
-  bool enable_caches = true;
-  // Flat per-router egress rows indexed by dense destination AS
-  // (DESIGN.md §14) — the data-oriented fast path for interdomain
-  // next_hop decisions. false falls back to the keyed hash-map cache on
-  // every lookup (the pre-§14 cached baseline bench_scale measures
-  // against). Value-identical either way.
-  bool enable_flat_egress = true;
   // When set, the FIB reports cache behaviour (route.fib.* counters and
   // the egress tie-width histogram) to this registry. nullptr (default)
   // leaves every handle a no-op — the zero-overhead path the hot-path
@@ -97,8 +85,8 @@ class Fib {
   };
 
   // A destination resolved once per trace. Obtain one from query() and
-  // pass it to the per-hop calls below; with caches disabled it carries
-  // only the address and every call re-resolves (the measured baseline).
+  // pass it to the per-hop calls below (a default-constructed query has
+  // no route).
   class RouteQuery {
    public:
     RouteQuery() = default;
@@ -122,11 +110,10 @@ class Fib {
       std::uint32_t dst_as_dense = 0xffffffffu;
     };
     Ipv4Addr dst_;
-    bool pre_resolved_ = false;
     Resolved res_;
   };
 
-  // Resolves `dst` once (when caches are enabled) for reuse across a trace.
+  // Resolves `dst` once for reuse across a trace.
   RouteQuery query(Ipv4Addr dst) const;
 
   // Where the packet at router `r` goes next on its way to `dst`.
@@ -163,8 +150,6 @@ class Fib {
 
   // All sessions whose near side is in `as`.
   const std::vector<Session>& sessions_of(AsId as) const;
-
-  bool caches_enabled() const { return options_.enable_caches; }
 
   // -- Churn overlays (serve::ServeEngine) ----------------------------------
   //
@@ -238,10 +223,6 @@ class Fib {
                                        std::uint32_t flow_salt) const;
   const AsRouting& routing_for(std::uint32_t as_dense) const
       BDRMAP_EXCLUDES(routing_mu_);
-  // Cache-disabled egress selection: the original per-hop tier scan.
-  const Session* choose_egress_uncached(
-      RouterId r, AsId as, AsId dst_as, Ipv4Addr dst,
-      const std::vector<LinkId>* pinned) const;
   // The shared fill: first satisfiable tier, sessions tied at minimal IGP
   // distance from r, in session order. Pure function of the immutable
   // topology (+ a quiescent churn overlay), so racing fills are identical.
@@ -265,8 +246,8 @@ class Fib {
   const BgpSimulator& bgp_;
   FibOptions options_;
 
-  // No-op handles unless FibOptions::metrics was set. Get-or-create: the
-  // cached and uncached planes of one run share the same instruments.
+  // No-op handles unless FibOptions::metrics was set (get-or-create, so
+  // several Fibs may share one registry's instruments).
   obs::Counter egress_hits_;
   obs::Counter egress_misses_;
   obs::Counter routing_fills_;

@@ -308,7 +308,7 @@ TEST_F(HeuristicsFixture, Step71_CollapsesSingleInterfaceVpPredecessors) {
 }
 
 TEST_F(HeuristicsFixture, Step71_DisabledByConfig) {
-  config_.enable_analytic_alias = false;
+  config_.rule_overrides["analytic_alias"].enabled = false;
   run({make_trace(AsId(2), "20.0.9.9",
                   {{"10.0.0.1"}, {"10.0.1.1"}, {"20.0.0.1"}, {nullptr}}),
        make_trace(AsId(2), "20.1.9.9",
@@ -394,16 +394,6 @@ TEST_F(HeuristicsFixture, ClassifyCoversAllClasses) {
   EXPECT_EQ(h.classify(ip("20.1.2.3")).origin, AsId(2));
   EXPECT_EQ(h.classify(ip("198.32.0.9")).cls, AddrClass::kIxp);
   EXPECT_EQ(h.classify(ip("172.16.0.1")).cls, AddrClass::kUnrouted);
-}
-
-TEST_F(HeuristicsFixture, ThirdPartyDetectionCanBeDisabled) {
-  config_.enable_third_party = false;
-  in_.rels.add_c2p(AsId(3), AsId(4));
-  run({make_trace(AsId(3), "30.0.0.9",
-                  {{"10.0.0.1"}, {"10.0.0.2"}, {"40.0.0.1"}, {nullptr}}),
-       make_trace(AsId(3), "30.0.1.9",
-                  {{"10.0.0.1"}, {"10.0.0.2"}, {"40.0.0.1"}, {nullptr}})});
-  EXPECT_NE(router_at("40.0.0.1").how, Heuristic::kThirdParty);
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ TEST_F(AnalysisFixture, NextAsMostlyMatchesBgpCandidates) {
     auto origin = scenario_.collectors().public_origins().origin(
         exit.prefix.first());
     if (!origin.valid()) continue;
-    auto tiers = scenario_.bgp().candidate_tiers(vp_as_, origin);
+    auto tiers = scenario_.bgp().tiers(vp_as_, origin).tiers;
     if (tiers.empty()) continue;
     ++checked;
     for (const auto& tier : tiers) {

@@ -102,9 +102,8 @@ inline std::uint64_t border_maps_digest(const runtime::MultiVpResult& result) {
 // probe seed 0x515 + salt, probe_wave `wave`.
 inline core::BdrmapResult run_spec_case(const eval::ScenarioSpec& spec,
                                         std::uint32_t salt, std::size_t wave,
-                                        core::BdrmapConfig config = {},
-                                        route::FibOptions fib = {}) {
-  eval::Scenario scenario(spec, fib);
+                                        core::BdrmapConfig config = {}) {
+  eval::Scenario scenario(spec);
   const net::AsId vp_as = scenario.first_of(scenario.spec().vp_kind);
   config.probe_wave = wave;
   return scenario.run_bdrmap(scenario.vps_in(vp_as).front(), config,
@@ -116,22 +115,19 @@ inline core::BdrmapResult run_spec_case(const eval::ScenarioSpec& spec,
 inline core::BdrmapResult run_family_case(const std::string& family,
                                           std::uint64_t seed,
                                           std::uint32_t salt, std::size_t wave,
-                                          core::BdrmapConfig config = {},
-                                          route::FibOptions fib = {}) {
+                                          core::BdrmapConfig config = {}) {
   return run_spec_case(eval::scenario_spec(family, seed).value(), salt, wave,
-                       std::move(config), fib);
+                       std::move(config));
 }
 
 // The corpus's sharded recipe: small_access at seed 42, its first two VPs,
 // 4 target ASes per shard, base probe seed 0x515, on a `workers` pool.
-inline runtime::MultiVpResult run_sharded_case(unsigned workers,
-                                               core::BdrmapConfig config = {},
-                                               route::FibOptions fib = {}) {
-  eval::Scenario scenario(eval::small_access_config(42), {}, fib);
+inline runtime::MultiVpResult run_sharded_case(unsigned workers) {
+  eval::Scenario scenario(eval::small_access_config(42));
   std::vector<topo::Vp> vps = scenario.vps_in(scenario.featured_access());
   if (vps.size() > 2) vps.resize(2);
   runtime::ThreadPool pool(workers);
-  return scenario.run_bdrmap_sharded(vps, config, 0x515, &pool,
+  return scenario.run_bdrmap_sharded(vps, {}, 0x515, &pool,
                                      /*ases_per_shard=*/4);
 }
 
@@ -182,6 +178,26 @@ std::string key(const Fields&... fields) {
   bool first = true;
   ((out << (first ? "" : " ") << fields, first = false), ...);
   return out.str();
+}
+
+// tests/golden/border_maps.txt, shared by the suites that check its
+// cases, with the keys of the cases outside the family grid.
+inline const Corpus& border_map_corpus() {
+  static const Corpus c("tests/golden/border_maps.txt");
+  return c;
+}
+
+inline constexpr std::uint64_t kFuzzSeeds[] = {11, 12};
+inline constexpr unsigned kShardWorkers[] = {1, 2, 8};
+
+// run_spec_case(eval::fuzzed_spec(family, seed), 0, 64).
+inline std::string fuzz_key(const std::string& family, std::uint64_t seed) {
+  return key("fuzz." + family, seed, 0, 64);
+}
+
+// run_sharded_case(workers).
+inline std::string sharded_key(unsigned workers) {
+  return key("small_access.sharded.w" + std::to_string(workers), 42, 0, 64);
 }
 
 }  // namespace bdrmap::golden

@@ -4,9 +4,9 @@
 // support() is monotone in added evidence, the per-rule priors are
 // well-formed, relationship priors read the store as documented, and the
 // confidences a full pipeline emits are bit-identical at any thread count
-// and on fuzzer-drawn topologies (failing fuzz cases print the one-line
-// tools/scenario_fuzz repro). Suite name carries "Heuristic" for the tsan
-// stage's ctest filter.
+// and match the golden corpus on fuzzer-drawn topologies (failing fuzz
+// cases print the one-line tools/scenario_fuzz repro). Suite name carries
+// "Heuristic" for the tsan stage's ctest filter.
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -19,6 +19,7 @@
 #include "core/heuristic_engine.h"
 #include "eval/fuzzer.h"
 #include "eval/scenario.h"
+#include "golden_corpus.h"
 #include "runtime/thread_pool.h"
 
 namespace bdrmap::core {
@@ -54,7 +55,7 @@ TEST(HeuristicConfidenceTest, CombinatorsStayInUnitInterval) {
 
 TEST(HeuristicConfidenceTest, BothAndEitherCommuteBitwise) {
   // IEEE + and * are commutative, so operand order must not change a
-  // single bit — the parity suite relies on this being exact.
+  // single bit — the golden corpus relies on this being exact.
   for (double a : kGrid) {
     for (double b : kGrid) {
       EXPECT_EQ(conf::both(a, b), conf::both(b, a)) << a << " " << b;
@@ -170,30 +171,25 @@ TEST(HeuristicConfidenceTest, DeterministicAcrossEightThreads) {
 }
 
 TEST(HeuristicConfidenceTest, FuzzedTopologiesHoldTheProperties) {
-  // Fuzzer-drawn topologies (PR 6 generator jitter): every emitted
-  // confidence is in [0,1] and the two engines agree bitwise. A failing
-  // (family, seed) prints the exact scenario_fuzz rerun command.
+  // Fuzzer-drawn topologies (generator jitter): every emitted confidence is
+  // in [0,1], and the map — confidences bitwise — equals the one recorded
+  // in the golden corpus while the legacy ladder still agreed with it. A
+  // failing (family, seed) prints the exact scenario_fuzz rerun command.
   for (const std::string& family : eval::default_fuzz_families()) {
-    for (std::uint64_t seed : {11u, 12u}) {
+    for (std::uint64_t seed : golden::kFuzzSeeds) {
       const std::string repro = "repro: tools/scenario_fuzz --family " +
                                 family + " --base-seed " +
                                 std::to_string(seed) + " --seeds 1";
-      auto run = [&](HeuristicEngineKind kind) {
-        eval::Scenario s(eval::fuzzed_spec(family, seed));
-        net::AsId vp_as = s.first_of(s.spec().vp_kind);
-        core::BdrmapConfig config;
-        config.heuristics.engine = kind;
-        return s.run_bdrmap(s.vps_in(vp_as).front(), config);
-      };
-      core::BdrmapResult legacy = run(HeuristicEngineKind::kLegacy);
-      core::BdrmapResult registry = run(HeuristicEngineKind::kRegistry);
-      for (const auto& link : registry.links) {
+      core::BdrmapResult result =
+          golden::run_spec_case(eval::fuzzed_spec(family, seed), 0, 64);
+      for (const auto& link : result.links) {
         EXPECT_GE(link.confidence, 0.0) << repro;
         EXPECT_LE(link.confidence, 1.0) << repro;
       }
-      EXPECT_EQ(link_confidences(legacy), link_confidences(registry))
+      EXPECT_TRUE(golden::border_map_corpus().check(
+          golden::fuzz_key(family, seed), golden::border_map_digest(result)))
           << repro;
-      EXPECT_FALSE(registry.links.empty()) << repro;
+      EXPECT_FALSE(result.links.empty()) << repro;
     }
   }
 }

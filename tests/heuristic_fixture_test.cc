@@ -364,18 +364,6 @@ TEST_F(HeuristicRuleFixture, Precondition_OverrideDisableFallsToCounting) {
   EXPECT_EQ(stats("relationships").fires, 0u);
 }
 
-TEST_F(HeuristicRuleFixture, Precondition_LegacyToggleStillSkips) {
-  // The pre-registry enable_relationships boolean keeps working under the
-  // registry engine (previously asserted coarsely in the edge suite).
-  config_.enable_relationships = false;
-  in_.rels.add_p2p(AsId(1), AsId(2));
-  run({make_trace(AsId(2), "20.0.9.9",
-                  {{"10.0.0.1"}, {"10.0.0.2"}, {"10.0.1.2"}, {"20.0.0.1"},
-                   {nullptr}})});
-  EXPECT_EQ(router_at("10.0.1.2").how, Heuristic::kCount);
-  EXPECT_EQ(stats("relationships").skips, 1u);
-}
-
 TEST_F(HeuristicRuleFixture, Override_ConfidenceScaleOnlyScalesConfidence) {
   config_.rule_overrides["vp_network"].confidence_scale = 0.5;
   run({make_trace(AsId(2), "20.0.0.9",

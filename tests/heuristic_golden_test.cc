@@ -4,13 +4,17 @@
 // digest (golden_corpus.h) of the family's first VP at scenario seed
 // `seed`, probe seed 0x515 + salt and probe_wave `wave`. The corpus covers
 // every registered scenario family at seed 42 across salts 0-3 and waves
-// {0, 64}, the fuzz families at seeds 11 and 12, and the sharded plan on
-// small_access (2 VPs, 4 target ASes per shard) at 1, 2 and 8 workers.
+// {0, 64} (checked here), the fuzz families at seeds 11 and 12
+// (HeuristicConfidenceTest.FuzzedTopologiesHoldTheProperties), and the
+// sharded plan on small_access (2 VPs, 4 target ASes per shard) at 1, 2
+// and 8 workers (HeuristicParityTest.ShardedIdenticalAcrossWorkersAndEngines).
 //
-// Every alternative plane (legacy ladder, uncompiled heuristics scans,
-// keyed FIB egress, cache-free FIB) must reproduce the corpus exactly.
-// Suite name carries "Heuristic" so the tsan stage's ctest filter picks
-// it up.
+// The corpus was captured while four alternative planes still ran beside
+// the production one — the hard-coded legacy ladder, per-call heuristics
+// scans, keyed FIB egress and a cache-free FIB — and all five agreed on
+// every line, so it stands in for those planes as the recorded baseline.
+// Suite names carry "Heuristic" so the tsan stage's ctest filter picks
+// them up.
 #include <cstdint>
 #include <set>
 #include <string>
@@ -28,37 +32,6 @@ namespace {
 constexpr std::uint64_t kFamilySeed = 42;
 constexpr std::uint32_t kSalts = 4;
 constexpr std::size_t kWaves[] = {0, 64};
-constexpr std::uint64_t kFuzzSeeds[] = {11, 12};
-constexpr unsigned kShardWorkers[] = {1, 2, 8};
-
-const Corpus& corpus() {
-  static const Corpus c("tests/golden/border_maps.txt");
-  return c;
-}
-
-std::string sharded_family(unsigned workers) {
-  return "small_access.sharded.w" + std::to_string(workers);
-}
-
-struct Plane {
-  const char* name;
-  core::BdrmapConfig config;
-  route::FibOptions fib;
-};
-
-std::vector<Plane> planes() {
-  std::vector<Plane> out(5);
-  out[0].name = "default";
-  out[1].name = "legacy ladder";
-  out[1].config.heuristics.engine = core::HeuristicEngineKind::kLegacy;
-  out[2].name = "uncompiled scans";
-  out[2].config.heuristics.enable_compiled_scans = false;
-  out[3].name = "keyed egress";
-  out[3].fib.enable_flat_egress = false;
-  out[4].name = "uncached fib";
-  out[4].fib.enable_caches = false;
-  return out;
-}
 
 class HeuristicGolden : public ::testing::TestWithParam<std::string> {};
 
@@ -67,13 +40,10 @@ TEST_P(HeuristicGolden, BorderMapsMatchCorpus) {
   for (std::uint32_t salt = 0; salt < kSalts; ++salt) {
     for (std::size_t wave : kWaves) {
       const std::string k = key(family, kFamilySeed, salt, wave);
-      for (const Plane& plane : planes()) {
-        core::BdrmapResult result = run_family_case(
-            family, kFamilySeed, salt, wave, plane.config, plane.fib);
-        EXPECT_FALSE(result.links.empty()) << k << " (" << plane.name << ")";
-        EXPECT_TRUE(corpus().check(k, border_map_digest(result)))
-            << plane.name;
-      }
+      core::BdrmapResult result =
+          run_family_case(family, kFamilySeed, salt, wave);
+      EXPECT_FALSE(result.links.empty()) << k;
+      EXPECT_TRUE(border_map_corpus().check(k, border_map_digest(result)));
     }
   }
 }
@@ -83,33 +53,6 @@ INSTANTIATE_TEST_SUITE_P(Families, HeuristicGolden,
                          [](const auto& param_info) {
                            return param_info.param;
                          });
-
-TEST(HeuristicGolden, FuzzedTopologiesMatchCorpus) {
-  for (const std::string& family : eval::default_fuzz_families()) {
-    for (std::uint64_t seed : kFuzzSeeds) {
-      const std::string k = key("fuzz." + family, seed, 0, 64);
-      for (const Plane& plane : planes()) {
-        core::BdrmapResult result = run_spec_case(
-            eval::fuzzed_spec(family, seed), 0, 64, plane.config, plane.fib);
-        EXPECT_TRUE(corpus().check(k, border_map_digest(result)))
-            << plane.name;
-      }
-    }
-  }
-}
-
-TEST(HeuristicGolden, ShardedMatchesCorpus) {
-  for (unsigned workers : kShardWorkers) {
-    const std::string k = key(sharded_family(workers), kFamilySeed, 0, 64);
-    for (const Plane& plane : planes()) {
-      runtime::MultiVpResult result =
-          run_sharded_case(workers, plane.config, plane.fib);
-      ASSERT_EQ(result.per_vp.size(), 2u);
-      EXPECT_TRUE(corpus().check(k, border_maps_digest(result)))
-          << plane.name;
-    }
-  }
-}
 
 TEST(HeuristicGolden, CorpusHoldsExactlyTheCoveredCases) {
   // A line no test produces would pin nothing; a case with no line fails
@@ -124,15 +67,78 @@ TEST(HeuristicGolden, CorpusHoldsExactlyTheCoveredCases) {
   }
   for (const std::string& family : eval::default_fuzz_families()) {
     for (std::uint64_t seed : kFuzzSeeds) {
-      expected.insert(key("fuzz." + family, seed, 0, 64));
+      expected.insert(fuzz_key(family, seed));
     }
   }
-  for (unsigned workers : kShardWorkers) {
-    expected.insert(key(sharded_family(workers), kFamilySeed, 0, 64));
-  }
+  for (unsigned workers : kShardWorkers) expected.insert(sharded_key(workers));
   std::set<std::string> recorded;
-  for (const auto& [k, digest] : corpus().cases()) recorded.insert(k);
+  for (const auto& [k, digest] : border_map_corpus().cases()) {
+    recorded.insert(k);
+  }
   EXPECT_EQ(recorded, expected);
+}
+
+// -- Parity suite: the registry engine against the legacy ladder's recorded
+// maps (the corpus), on the slices this suite has always covered.
+
+class HeuristicParityTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(HeuristicParityTest, RegistryMatchesLegacyLadder) {
+  core::BdrmapResult result = run_family_case(GetParam(), kFamilySeed, 0, 64);
+  EXPECT_TRUE(border_map_corpus().check(key(GetParam(), kFamilySeed, 0, 64),
+                                        border_map_digest(result)));
+  EXPECT_GT(result.links.size(), 0u) << "family must produce a map";
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, HeuristicParityTest,
+                         ::testing::ValuesIn(eval::scenario_names()),
+                         [](const auto& param_info) {
+                           return param_info.param;
+                         });
+
+TEST(HeuristicParityTest, EcmpSaltsAndProbeWaves) {
+  // ECMP at the pipeline level: varying the probe seed re-salts every
+  // flow's ECMP hash, steering traces down different parallel paths (the
+  // unit-level FlowSpec::flow_salt sweep lives in trace_batch_test),
+  // crossed with probe waving on/off.
+  for (std::uint32_t salt = 0; salt < kSalts; ++salt) {
+    for (std::size_t wave : kWaves) {
+      EXPECT_TRUE(border_map_corpus().check(
+          key("small", kFamilySeed, salt, wave),
+          border_map_digest(run_family_case("small", kFamilySeed, salt,
+                                            wave))));
+    }
+  }
+}
+
+TEST(HeuristicParityTest, ShardedIdenticalAcrossWorkersAndEngines) {
+  // The sharded plan at 1, 2 and 8 workers reproduces the maps both
+  // engines recorded.
+  for (unsigned workers : kShardWorkers) {
+    runtime::MultiVpResult result = run_sharded_case(workers);
+    ASSERT_EQ(result.per_vp.size(), 2u);
+    EXPECT_TRUE(border_map_corpus().check(sharded_key(workers),
+                                          border_maps_digest(result)));
+    EXPECT_GT(result.total.traces, 0u);
+  }
+}
+
+TEST(HeuristicParityTest, ExplicitPaperOrderMatchesDefault) {
+  // Naming every rule in registration order is the same thing as naming
+  // none: resolve_order's tie-break must keep the paper ladder stable.
+  auto run = [](std::vector<std::string> order) {
+    core::BdrmapConfig config;
+    config.heuristics.rule_order = std::move(order);
+    return border_map_digest(
+        run_family_case("small", kFamilySeed, 0, 64, std::move(config)));
+  };
+  const std::uint64_t implicit = run({});
+  EXPECT_EQ(implicit,
+            run({"vp_network", "firewall", "unrouted", "onenet",
+                 "relationships", "counting", "analytic_alias",
+                 "uncooperative"}))
+      << "explicit paper order";
+  EXPECT_EQ(implicit, run({"no_such_rule"})) << "unknown slug ignored";
 }
 
 }  // namespace

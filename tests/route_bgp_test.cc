@@ -86,7 +86,7 @@ TEST_F(BgpFixture, ValleyFreePathsOnly) {
 
 TEST_F(BgpFixture, MultihomedStubReachableBothWays) {
   // 7 buys from 4 and 5; 1 reaches it via customer 4.
-  auto tiers = bgp_->candidate_tiers(AsId(1), AsId(7));
+  auto tiers = bgp_->tiers(AsId(1), AsId(7)).tiers;
   ASSERT_FALSE(tiers.empty());
   ASSERT_EQ(tiers[0].size(), 1u);
   EXPECT_EQ(tiers[0][0], AsId(4));
@@ -95,7 +95,7 @@ TEST_F(BgpFixture, MultihomedStubReachableBothWays) {
 TEST_F(BgpFixture, CandidateTiersOrderedByPreference) {
   // From 7: dst 9 (sibling customer of 5). Customer route: none.
   // 7's providers 4 and 5; 5 reaches 9 via customer (dist 1).
-  auto tiers = bgp_->candidate_tiers(AsId(7), AsId(9));
+  auto tiers = bgp_->tiers(AsId(7), AsId(9)).tiers;
   ASSERT_FALSE(tiers.empty());
   EXPECT_EQ(tiers[0][0], AsId(5));
 }
@@ -103,7 +103,7 @@ TEST_F(BgpFixture, CandidateTiersOrderedByPreference) {
 TEST_F(BgpFixture, TiersIncludeProviderFallback) {
   // From 1 toward 8 the best is the peer tier; a provider tier must not
   // exist (tier-1 has no providers).
-  auto tiers = bgp_->candidate_tiers(AsId(1), AsId(8));
+  auto tiers = bgp_->tiers(AsId(1), AsId(8)).tiers;
   ASSERT_EQ(tiers.size(), 1u);
   EXPECT_EQ(tiers[0][0], AsId(2));
 }

@@ -16,6 +16,7 @@
 
 #include "eval/degradation.h"
 #include "eval/scenario.h"
+#include "golden_corpus.h"
 #include "netbase/arena.h"
 #include "probe/trace_batch.h"
 #include "route/fib.h"
@@ -180,16 +181,12 @@ TEST(TraceBatchTest, ShardedColdFillIdenticalAcrossWorkers) {
 TEST(TraceBatchTest, CompiledScanParityEndToEnd) {
   // The §14 heuristics compilation (memoized classify, single-pass
   // first-external table, per-organization trace index) is pure caching:
-  // inferences must match the per-call scans exactly.
-  eval::Scenario s(eval::small_access_config(42));
-  const topo::Vp vp = s.vps_in(s.featured_access()).front();
-  core::BdrmapConfig compiled;  // enable_compiled_scans default on
-  core::BdrmapConfig scans;
-  scans.heuristics.enable_compiled_scans = false;
-  core::BdrmapResult a = s.run_bdrmap(vp, compiled, 0x515);
-  core::BdrmapResult b = s.run_bdrmap(vp, scans, 0x515);
-  EXPECT_TRUE(eval::same_border_map(a, b));
-  EXPECT_GT(a.links.size(), 0u);
+  // the map must equal the one recorded while the per-call scans still
+  // ran beside it (tests/golden/border_maps.txt).
+  core::BdrmapResult result = golden::run_family_case("small", 42, 0, 64);
+  EXPECT_TRUE(golden::border_map_corpus().check(
+      golden::key("small", 42, 0, 64), golden::border_map_digest(result)));
+  EXPECT_GT(result.links.size(), 0u);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 //   bdrmap_sim [--scenario NAME] [--list-scenarios] [--seed N] [--vp K]
 //              [--all-vps] [--threads N]
 //              [--json FILE] [--warts FILE] [--dump-traces] [--table1]
-//              [--validate] [--audit] [--quiet] [--no-route-cache]
+//              [--validate] [--audit] [--quiet] [--obs-json FILE]
 //
 // Scenario names come from eval::scenario_registry — the four clean §5.6
 // networks plus the adversarial families (route_leak, hijack, ...).
@@ -51,10 +51,6 @@ struct Options {
   bool validate = false;
   bool audit = false;  // invariant-check the run (src/check/)
   bool quiet = false;
-  // Disable the forwarding-plane fast-path caches (DESIGN.md §9); results
-  // are bit-identical, only slower — a production escape hatch and the
-  // baseline knob bench_hotpath uses.
-  bool no_route_cache = false;
   // Observability export (DESIGN.md §11): when set, the run executes with
   // metrics + tracing enabled and writes one JSON document here. The
   // border map itself is bit-identical either way.
@@ -78,7 +74,7 @@ void usage(const char* argv0) {
       "          [--json FILE] [--warts FILE] [--dot FILE] [--replay FILE]\n"
       "          [--dump-traces] [--table1] [--validate] [--audit] "
       "[--quiet]\n"
-      "          [--no-route-cache] [--obs-json FILE]\n",
+      "          [--obs-json FILE]\n",
       argv0);
 }
 
@@ -135,8 +131,6 @@ bool parse_args(int argc, char** argv, Options* opts) {
       opts->audit = true;
     } else if (arg == "--quiet") {
       opts->quiet = true;
-    } else if (arg == "--no-route-cache") {
-      opts->no_route_cache = true;
     } else if (arg == "--obs-json") {
       const char* v = next();
       if (!v) return false;
@@ -178,7 +172,6 @@ int main(int argc, char** argv) {
   obs::Observability obs(obs_options);
 
   route::FibOptions fib_options;
-  fib_options.enable_caches = !opts.no_route_cache;
   fib_options.metrics = obs.registry();
   eval::Scenario scenario(*spec, fib_options);
   net::AsId vp_as = scenario.first_of(vp_kind);

@@ -10,10 +10,10 @@
 #                  suites (runtime pool/executor + contract tests + the
 #                  fast-path concurrent cache-fill suite)
 #   --bench        build and run the forwarding fast-path benchmark
-#                  (bench_hotpath) plus a bench_scale --smoke pass (the
-#                  §14 batching/sharding identity gates over the small
-#                  scenario); the bit-identity gates are hard, the
-#                  throughput targets are informational here
+#                  (bench_hotpath, absolute next_hop throughput) plus a
+#                  bench_scale --smoke pass (the sharded-plan identity
+#                  gate over the small scenario); the identity gate is
+#                  hard, the timings are informational here
 #   --obs          observability smoke: run bdrmap_sim --obs-json over the
 #                  small scenario (single-VP and multi-VP) and validate the
 #                  exports against docs/obs_schema.json with
@@ -33,8 +33,8 @@
 #                  25 cases across every adversarial family (scenario_fuzz;
 #                  failing seeds print one-line repro commands)
 #   --ablation     heuristic-ablation smoke: bench_ablation --smoke over the
-#                  small scenario (hard registry-vs-legacy identity gate),
-#                  then tools/check_ablation.py — structural honesty checks
+#                  small scenario, then tools/check_ablation.py — structural
+#                  honesty checks
 #                  are hard, accuracy drift vs the committed
 #                  BENCH_ablation.json is warn-only (EXPERIMENTS.md)
 #
@@ -75,7 +75,7 @@ run_tsan() {
     runtime_thread_pool_test runtime_multi_vp_test netbase_contract_test \
     route_fastpath_test trace_batch_test obs_metrics_test obs_trace_test \
     eval_fuzzer_test serve_handle_test serve_snapshot_test \
-    serve_incremental_test heuristic_engine_parity_test heuristic_golden_test \
+    serve_incremental_test heuristic_golden_test \
     heuristic_confidence_test
   ctest --test-dir build-tsan -j "$JOBS" --output-on-failure \
     -R 'ThreadPool|TaskGroup|ParallelFor|ParallelMap|MultiVp|Contract|FastPath|TraceBatch|Obs|Fuzzer|Serve|Heuristic'
@@ -120,8 +120,8 @@ run_bench() {
   cmake --preset default >/dev/null
   cmake --build --preset default -j "$JOBS" --target bench_hotpath bench_scale
   ./build/bench/bench_hotpath --out BENCH_hotpath.json
-  echo "== bench: data-oriented core smoke (bench_scale --smoke) =="
-  # Same code paths and identity gates as the committed BENCH_scale.json
+  echo "== bench: sharded-plan smoke (bench_scale --smoke) =="
+  # Same code path and identity gate as the committed BENCH_scale.json
   # run, on the CI-sized scenario. Identity failures exit 1 here too.
   ./build/bench/bench_scale --smoke --out BENCH_scale_smoke.json
 }
@@ -130,10 +130,9 @@ run_ablation() {
   echo "== ablation smoke: bench_ablation --smoke + gate =="
   cmake --preset default >/dev/null
   cmake --build --preset default -j "$JOBS" --target bench_ablation
-  # Same code paths and registry-vs-legacy identity gate as the committed
-  # BENCH_ablation.json run, on the CI-sized scenario. Identity failures
-  # exit 1 in the bench itself; the gate script then hard-checks the
-  # honesty fields and warns (only) on accuracy drift vs the reference.
+  # Same code paths as the committed BENCH_ablation.json run, on the
+  # CI-sized scenario; the gate script hard-checks the honesty fields and
+  # warns (only) on accuracy drift vs the reference.
   ./build/bench/bench_ablation --smoke --out BENCH_ablation_smoke.json
   python3 tools/check_ablation.py BENCH_ablation_smoke.json
 }

@@ -9,9 +9,6 @@ Hard checks — any failure exits 1:
   * the document parses and carries the bench_scale honesty fields
     (bench == "ablation", repeat >= 1, warmup, hardware_concurrency,
     scenario_seed) so numbers can never be quoted without their context
-  * every family reports legacy_identical == true: the registry engine is
-    bit-identical to the hard-coded §5.4 ladder (confidence aside); a
-    divergence is an inference bug, never a perf regression
   * every family carries the full threshold sweep and one leave-one-out
     entry per registered rule, and threshold coverage is non-increasing
     as the threshold rises (retaining MORE links at a HIGHER confidence
@@ -69,10 +66,6 @@ def hard_check(doc) -> list[str]:
         return findings
     for fam in families:
         name = fam.get("family", "<unnamed>")
-        if fam.get("legacy_identical") is not True:
-            findings.append(
-                f"{name}: legacy_identical is not true — the registry "
-                "engine diverged from the hard-coded §5.4 ladder")
         loo = {row.get("rule") for row in fam.get("leave_one_out", [])}
         missing = [r for r in RULES if r not in loo]
         if missing:

@@ -481,33 +481,39 @@ def pass_hot_region(ctx: FileContext) -> list[Finding]:
 #
 # The §5.4 ladder bodies (phase1_vp_network .. phase8_uncooperative) are
 # private to core::Heuristics and reachable only through the registry
-# engine's trampolines (core/heuristic_engine.{h,cc}) or the legacy
-# dispatcher in core/heuristics.cc. Any other src/ file naming one of them
-# — a new friend, a refactor that re-exposes the ladder — bypasses the
-# rule registry's order, skip accounting and confidence scaling, so the
-# call sites themselves are banned (DESIGN.md §15).
+# engine's trampolines (core/heuristic_engine.{h,cc}). core/heuristics.h
+# declares them and core/heuristics.cc defines them (`Heuristics::phaseN_`);
+# any other mention — a second dispatcher in heuristics.cc, a new friend, a
+# refactor that re-exposes the ladder — bypasses the rule registry's order,
+# skip accounting and confidence scaling, so the call sites themselves are
+# banned (DESIGN.md §15).
 # --------------------------------------------------------------------------
 
 LADDER_CALL_RE = re.compile(
     r"\bphase[1-8]_(?:vp_network|firewall|unrouted|onenet|relationships|"
     r"counting|analytic_alias|uncooperative)\s*\(")
-# The only files allowed to declare, define or dispatch the phase bodies.
+# Files allowed to declare (heuristics.h) or dispatch (the engine) the
+# phase bodies anywhere; heuristics.cc may only define them.
 LADDER_EXEMPT = {
     ("core", "heuristics.h"),
-    ("core", "heuristics.cc"),
     ("core", "heuristic_engine.h"),
     ("core", "heuristic_engine.cc"),
 }
+LADDER_DEFINER = ("core", "heuristics.cc")
 
 
 def pass_ladder_encapsulation(ctx: FileContext) -> list[Finding]:
     if ctx.module is None:
         return []
-    if tuple(ctx.rel.parts[-2:]) in LADDER_EXEMPT:
+    where = tuple(ctx.rel.parts[-2:])
+    if where in LADDER_EXEMPT:
         return []
     findings: list[Finding] = []
     for n, code in enumerate(ctx.code_lines, start=1):
         m = LADDER_CALL_RE.search(code)
+        if m and where == LADDER_DEFINER and \
+                code[:m.start()].endswith("Heuristics::"):
+            continue  # the phase body's own definition
         if m:
             findings.append(Finding(
                 "BDR105", ctx.relstr, n,

@@ -44,6 +44,7 @@ EXPECT: dict[str, set[str]] = {
     "src/route/bad_rawlock.h": {"BDR103"},
     "src/route/bad_hotpath.cc": {"BDR104"},
     "src/core/bad_ladder.cc": {"BDR105"},
+    "src/core/heuristics.cc": {"BDR105"},
     "src/serve/bad_layer.cc": {"BDR101"},
 }
 
